@@ -85,37 +85,49 @@ class EqualityTester:
         """
         if trials < 1:
             raise ConfigurationError(f"trials must be >= 1, got {trials}")
-        self.stats.calls += 1
         elements_a = list(set_a)
         elements_b = list(set_b)
-        prime = self._prime
         if set(elements_a) == set(elements_b):
-            # Equal sets can never early-exit: every trial runs and
-            # necessarily matches, so the outcome carries no randomness —
-            # charge the identical trials and bits but skip the draws and
-            # polynomial evaluations.  Determinism is preserved because
-            # set equality is itself a pure function of protocol state:
-            # every replay takes the same branch, so the initiator's
-            # private stream advances identically on every run.  In
-            # Transfer's binary search most prefix comparisons are
-            # between equal (often empty) restrictions, so this is the
-            # protocol's hot path.
-            executed = trials
-            matched = True
+            # Equal sets never early-exit: every trial runs and matches,
+            # so the verdict carries no randomness.  Charge the trials but
+            # skip the draws.  Set equality is a pure function of protocol
+            # state, so every replay takes this branch at the same point
+            # and the caller's private stream stays in step.
+            matched, executed = True, trials
         else:
-            executed = 0
-            matched = True
-            for _ in range(trials):
-                executed += 1
-                point = rng.randrange(prime)
-                value_a = eval_set_polynomial(elements_a, point, prime)
-                value_b = eval_set_polynomial(elements_b, point, prime)
-                if value_a != value_b:
-                    matched = False
-                    break
-        self.stats.trials += executed
-        self.stats.bits += executed * self._bits_per_trial
-        if channel is not None:
-            channel.charge_bits(executed * self._bits_per_trial,
-                                label="eqtest")
+            matched, executed = self.run_trials(
+                elements_a, elements_b, trials, rng
+            )
+        self.record(1, executed, channel)
         return matched
+
+    def run_trials(
+        self, elements_a, elements_b, trials: int, rng: random.Random
+    ) -> tuple[bool, int]:
+        """Fingerprint trials until one mismatches or ``trials`` have run.
+
+        Each trial draws one uniform point of ``F_p`` from ``rng``.
+        Returns ``(matched, executed)``.  ``P_S(x) = Σ_{i∈S} x^i`` is
+        additive, so labels common to both sides cancel exactly in
+        ``F_p``: callers may pass only the labels where the sets differ
+        and get the verdict the full sets would give.
+        """
+        prime = self._prime
+        for executed in range(1, trials + 1):
+            point = rng.randrange(prime)
+            if (eval_set_polynomial(elements_a, point, prime)
+                    != eval_set_polynomial(elements_b, point, prime)):
+                return False, executed
+        return True, trials
+
+    def record(
+        self, calls: int, trials: int, channel: Channel | None = None
+    ) -> None:
+        """Meter ``calls`` EQTest invocations that ran ``trials`` trials in
+        all, charged to ``channel`` as one ``eqtest`` message."""
+        bits = trials * self._bits_per_trial
+        self.stats.calls += calls
+        self.stats.trials += trials
+        self.stats.bits += bits
+        if channel is not None:
+            channel.charge_bits(bits, label="eqtest")

@@ -16,12 +16,22 @@ Note on the paper's pseudocode: it narrows with ``b ← ⌊b/2⌋``, shorthand
 that only reads correctly as "the midpoint of the live interval [a, b]".
 We implement the midpoint search explicitly; the stated guarantee and bit
 budget are unchanged.
+
+Only the levels whose restrictions truly differ carry randomness: an
+EQTest of equal sets reports *equal* with probability 1.  So the search
+walks the sorted symmetric difference and runs (and draws for) trials
+only at levels whose left half ``[lo, mid]`` holds a differing label;
+every other level is charged its trials and steps right draw-free.  Equal
+sets walk the right spine to ``N`` in ``⌊log₂ N⌋`` levels without a draw.
+Outcome, rng consumption and bit totals match the per-level search
+exactly; the channel sees one ``eqtest`` message per search.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.bits import ceil_log2
@@ -85,6 +95,9 @@ class TransferProtocol:
         self.epsilon = epsilon
         self.trials_per_call = trials_for_error(upper_n, epsilon)
         self.tester = EqualityTester(upper_n)
+        # Levels on the all-equal path: each step keeps the right half,
+        # ⌊size/2⌋ labels, until one is left.
+        self._spine_levels = upper_n.bit_length() - 1
 
     def locate(
         self,
@@ -99,21 +112,13 @@ class TransferProtocol:
         self._validate(set_a, "a")
         self._validate(set_b, "b")
 
-        bits_before = self.tester.stats.bits
-        calls_before = self.tester.stats.calls
-        lo, hi = 1, self.upper_n
-        while lo != hi:
-            mid = (lo + hi) // 2
-            prefix_a = [x for x in set_a if lo <= x <= mid]
-            prefix_b = [x for x in set_b if lo <= x <= mid]
-            equal = self.tester.test(
-                prefix_a, prefix_b, self.trials_per_call, rng, channel
-            )
-            if equal:
-                lo = mid + 1
-            else:
-                hi = mid
-        chosen = lo
+        if set_a == set_b:
+            eq_calls = self._spine_levels
+            executed = eq_calls * self.trials_per_call
+            chosen = self.upper_n
+        else:
+            eq_calls, executed, chosen = self._search(set_a, set_b, rng)
+        self.tester.record(eq_calls, executed, channel)
 
         in_a = chosen in set_a
         in_b = chosen in set_b
@@ -125,8 +130,7 @@ class TransferProtocol:
             channel.charge_bits(ownership_bits, label="transfer-ownership")
             if consistent:
                 channel.charge_token()
-        eq_calls = self.tester.stats.calls - calls_before
-        control_bits = self.tester.stats.bits - bits_before + ownership_bits
+        control_bits = executed * self.tester.bits_per_trial + ownership_bits
         return TransferOutcome(
             token_id=chosen if consistent else None,
             moved_to_a=consistent and in_b,
@@ -135,6 +139,42 @@ class TransferProtocol:
             eq_calls=eq_calls,
             control_bits=control_bits,
         )
+
+    def _search(self, set_a: frozenset, set_b: frozenset,
+                rng: random.Random) -> tuple[int, int, int]:
+        """Binary search for unequal sets: ``(levels, trials, label)``.
+
+        A level runs real trials only when ``[lo, mid]`` holds a label of
+        the symmetric difference, comparing fingerprints of just those
+        labels; otherwise the restrictions are equal and it costs no draw.
+        """
+        diff = sorted(set_a ^ set_b)
+        trials = self.trials_per_call
+        run_trials = self.tester.run_trials
+        levels = executed = 0
+        first = 0  # index of the first differing label >= lo
+        lo, hi = 1, self.upper_n
+        while lo != hi:
+            mid = (lo + hi) // 2
+            levels += 1
+            end = bisect_right(diff, mid, first)
+            if end == first:
+                equal = True
+                executed += trials
+            else:
+                span = diff[first:end]
+                equal, ran = run_trials(
+                    [x for x in span if x in set_a],
+                    [x for x in span if x in set_b],
+                    trials, rng,
+                )
+                executed += ran
+            if equal:
+                lo = mid + 1
+                first = end
+            else:
+                hi = mid
+        return levels, executed, lo
 
     def worst_case_control_bits(self) -> int:
         """Upper bound on control bits per invocation (for budget sizing)."""

@@ -82,7 +82,8 @@ class Channel:
         if self.bits.total_bits > self.policy.max_control_bits:
             self._violate(
                 f"control bits exceeded: {self.bits.total_bits} > "
-                f"{self.policy.max_control_bits} (round {self.round_index})"
+                f"{self.policy.max_control_bits} (label {label!r}, "
+                f"round {self.round_index})"
             )
 
     def charge_token(self) -> None:

@@ -13,7 +13,7 @@ from repro.core.problem import (
     uniform_instance,
 )
 from repro.core.tokens import Token
-from repro.errors import ConfigurationError
+from repro.errors import ChannelBudgetError, ConfigurationError
 from repro.sim.channel import Channel, ChannelPolicy
 
 
@@ -165,3 +165,31 @@ class TestGossipNodeBase:
         outcome = a.run_transfer(b, protocol, channel)
         assert outcome.moved_to_a
         assert a.token(4).payload == "from-b"
+
+    def test_run_transfer_over_budget_strict_moves_nothing(self):
+        a = self.make_node(uid=1, tokens=(Token(5),))
+        b = self.make_node(uid=2)
+        protocol = TransferProtocol(upper_n=64, epsilon=1e-6)
+        channel = Channel(1, 1, 2, ChannelPolicy(max_control_bits=10))
+        with pytest.raises(ChannelBudgetError):
+            a.run_transfer(b, protocol, channel)
+        assert not b.has_token(5)
+        assert channel.tokens_moved == 0
+
+    def test_run_transfer_over_budget_lenient_records_one_eqtest(self):
+        a = self.make_node(uid=1, tokens=(Token(5),))
+        b = self.make_node(uid=2)
+        protocol = TransferProtocol(upper_n=64, epsilon=1e-6)
+        channel = Channel(
+            1, 1, 2, ChannelPolicy(max_control_bits=10, strict=False)
+        )
+        outcome = a.run_transfer(b, protocol, channel)
+        assert outcome.moved_to_b
+        assert b.has_token(5)
+        # The search's bits arrive as one eqtest charge, so the overflow
+        # is recorded once for it (and once for the ownership bits).
+        eqtest = [v for v in channel.violations if "'eqtest'" in v]
+        assert len(eqtest) == 1
+        assert len(channel.violations) == 2
+        assert channel.bits.total_bits == outcome.control_bits
+        assert channel.bits.by_label()["eqtest"] == outcome.control_bits - 2
