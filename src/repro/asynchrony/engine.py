@@ -52,11 +52,12 @@ per-vertex next-activation arrays; the heap path uses
 whole window's schedule through the timing model's batched draws, scans
 every activating member in a few vectorized passes, and then sweeps the
 window's cohorts in event order, touching Python only where decisions
-live: proposal candidates, per-cohort resolution
-(:func:`~repro.sim.matching.resolve_proposal_cohorts` — singleton
-cohorts derive no rng, contested cohorts draw from the exact per-tick
-``("match", r)`` / ``("match", "tick", t)`` streams), fault drops, and
-interactions.  Determinism is the hard constraint: no random draw moves.
+live: proposal candidates, per-cohort resolution (the same
+:func:`~repro.sim.matching.resolve_proposals` call as the per-event
+path — uncontested cohorts derive no stream, contested ones draw from
+the exact per-tick ``("match", r)`` / ``("match", "tick", t)``
+streams), fault drops, and interactions.  Determinism is the hard
+constraint: no random draw moves.
 Eager-scan protocols (SharedBit — shared-PRF tags only) tag the whole
 window upfront and are *retagged* exactly at the activation positions
 whose state changed mid-window (transfer endpoints, crash resets);
@@ -92,11 +93,7 @@ from repro.asynchrony.timing import TICKS_PER_ROUND, Synchronous, TimingModel
 from repro.sim.channel import Channel
 from repro.sim.context import NeighborView
 from repro.sim.engine import Simulation, SimulationResult
-from repro.sim.matching import (
-    resolve_proposal_cohorts,
-    resolve_proposals,
-    resolve_proposals_unbounded,
-)
+from repro.sim.matching import resolve_proposals, shared_stream
 from repro.sim.protocol import window_hooks
 from repro.sim.termination import TerminationCondition, never
 
@@ -596,8 +593,7 @@ class AsyncSimulation(Simulation):
 
         if eager:
             opt_tags, senders = ops.scan(vertices, cycles)
-            opt_tags = np.asarray(opt_tags, dtype=np.int64)
-            self._check_tag_array(opt_tags, vertices)
+            opt_tags = self._check_tag_array(opt_tags, vertices)
             senders = np.array(senders, dtype=bool)
         else:
             opt_tags = None
@@ -634,7 +630,10 @@ class AsyncSimulation(Simulation):
                         reset_tokens()
                     ops.state_changed(vertex)
                 new_tag = ops.retag(vertex, cycle)
-                if not 0 <= new_tag <= max_tag:
+                if (
+                    not isinstance(new_tag, (int, np.integer))
+                    or not 0 <= new_tag <= max_tag
+                ):
                     raise ProtocolViolationError(
                         f"node uid={nodes[vertex].uid} advertised tag "
                         f"{new_tag!r}; legal range with b={self.b} is "
@@ -718,8 +717,9 @@ class AsyncSimulation(Simulation):
                 cohort_tags, cohort_senders = ops.scan(
                     member_vertices, cycles[cohort_start:cohort_end]
                 )
-                cohort_tags = np.asarray(cohort_tags, dtype=np.int64)
-                self._check_tag_array(cohort_tags, member_vertices)
+                cohort_tags = self._check_tag_array(
+                    cohort_tags, member_vertices
+                )
                 tags_np[member_vertices] = cohort_tags
                 cohort_candidates = (
                     np.nonzero(cohort_senders)[0] + cohort_start
@@ -810,7 +810,10 @@ class AsyncSimulation(Simulation):
                         schedule(pos, True)
                 working[vertex] = active_flags[pos]
 
-    def _check_tag_array(self, tags, vertex_list) -> None:
+    def _check_tag_array(self, tags, vertex_list) -> np.ndarray:
+        """A window scan's tags as int64, after the same type and range
+        checks the per-event and round-engine paths apply."""
+        tags = self._as_int_array(tags, "scan")
         bad = (tags < 0) | (tags > self.max_tag)
         if bad.any():
             offender = int(np.nonzero(bad)[0][0])
@@ -819,6 +822,19 @@ class AsyncSimulation(Simulation):
                 f"advertised tag {int(tags[offender])!r}; legal range "
                 f"with b={self.b} is [0, {self.max_tag}]"
             )
+        return tags
+
+    def _cohort_streams(self, ticks: int):
+        """The ``stream_for`` of the cohort at ``ticks``: one stream per
+        instant, so a synchronized cohort at tick r·TPR draws from the
+        exact ``("match", r)`` stream the round engine uses for round r.
+        Derived only when a target is contested, which keeps singleton
+        cohorts (the jittered common case) off the hashing path."""
+        if ticks % TICKS_PER_ROUND == 0:
+            key = ("match", ticks // TICKS_PER_ROUND)
+        else:
+            key = ("match", "tick", ticks)
+        return shared_stream(lambda: self._tree.stream(*key))
 
     def _execute_cohort_batched(
         self, ticks, candidate_positions, vertices, cycles,
@@ -829,10 +845,10 @@ class AsyncSimulation(Simulation):
         Candidates run in ascending position (= vertex) order, each
         reading its visible neighborhood's *current* published tags; the
         cohort's proposals then resolve exactly as the per-event path
-        resolves them (same stream keys, singleton cohorts derive no
-        rng), fault drops are judged per match at the initiator's local
-        cycle, and interactions run scalar — marking endpoints dirty so
-        their later activations this window are retagged.
+        resolves them (same call, same stream keys), fault drops are
+        judged per match at the initiator's local cycle, and
+        interactions run scalar — marking endpoints dirty so their later
+        activations this window are retagged.
         """
         ops = self._window_ops
         nodes = self._nodes
@@ -873,28 +889,16 @@ class AsyncSimulation(Simulation):
             return
         window_stats[0] += len(proposer_uids)
 
-        def rng_for_cohort(_cohort: int):
-            if ticks % TICKS_PER_ROUND == 0:
-                return self._tree.stream("match", ticks // TICKS_PER_ROUND)
-            return self._tree.stream("match", "tick", ticks)
-
-        matches = resolve_proposal_cohorts(
-            proposer_uids, target_uids, (0, len(proposer_uids)),
-            rng_for_cohort, rule=self.acceptance,
-        )[0]
-
-        if self._fault_active and matches:
-            surviving = []
-            for pair in matches:
-                if self.faults.drop_connection(
-                    cycle_of_uid[pair[0]]
-                    if fault_round is None else fault_round,
-                    pair[0], pair[1],
-                ):
-                    window_stats[4] += 1
-                else:
-                    surviving.append(pair)
-            matches = surviving
+        matches = resolve_proposals(
+            proposer_uids, target_uids, self.acceptance,
+            self._cohort_streams(ticks),
+        )
+        matches, dropped = self._drop_failed(
+            matches,
+            lambda uid: cycle_of_uid[uid] if fault_round is None
+            else fault_round,
+        )
+        window_stats[4] += dropped
         window_stats[1] += len(matches)
 
         for initiator_uid, responder_uid in matches:
@@ -1032,7 +1036,8 @@ class AsyncSimulation(Simulation):
         # Stage 2: propose — each member reads its visible neighbors'
         # *current* advertisements (stale for neighbors that have not
         # activated recently: the asynchrony the NWZ model studies).
-        proposals: dict[int, int] = {}
+        proposer_uids: list[int] = []
+        target_uids: list[int] = []
         cycle_of_uid: dict[int, int] = {}
         for (vertex, cycle), visible in zip(members, member_views):
             views = tuple(
@@ -1048,47 +1053,22 @@ class AsyncSimulation(Simulation):
                     f"uid={target}, not a visible neighbor at virtual "
                     f"time {ticks / TICKS_PER_ROUND:.4f}"
                 )
-            proposals[nodes[vertex].uid] = target
+            proposer_uids.append(nodes[vertex].uid)
+            target_uids.append(target)
             cycle_of_uid[nodes[vertex].uid] = cycle
 
         # Accept: the cohort's proposals resolve against each other with
-        # the round engine's resolver.  The acceptance stream is keyed by
-        # the instant — a synchronized cohort at tick r·TPR draws from
-        # the exact stream the round engine uses for round r.  With at
-        # most one proposal no target can be contested, so the stream is
-        # never drawn from; skipping its derivation keeps singleton
-        # cohorts (the jittered common case) off the hashing path
-        # without any observable difference.
-        if self.acceptance == "unbounded":
-            matches = resolve_proposals_unbounded(proposals)
-        elif not proposals:
-            matches = []
-        else:
-            if len(proposals) == 1:
-                rng = None
-            elif ticks % TICKS_PER_ROUND == 0:
-                rng = self._tree.stream(
-                    "match", ticks // TICKS_PER_ROUND
-                )
-            else:
-                rng = self._tree.stream("match", "tick", ticks)
-            matches = resolve_proposals(
-                proposals, rng, rule=self.acceptance
-            )
+        # the round engine's resolver, on the instant's stream.
+        matches = resolve_proposals(
+            proposer_uids, target_uids, self.acceptance,
+            self._cohort_streams(ticks),
+        )
 
         # Fault drop decisions, keyed by the initiator's local cycle
         # (or the window, for clock="virtual" models).
-        dropped = 0
-        if self._fault_active and matches:
-            surviving = []
-            for pair in matches:
-                if self.faults.drop_connection(
-                    fault_index(cycle_of_uid[pair[0]]), pair[0], pair[1]
-                ):
-                    dropped += 1
-                else:
-                    surviving.append(pair)
-            matches = surviving
+        matches, dropped = self._drop_failed(
+            matches, lambda uid: fault_index(cycle_of_uid[uid])
+        )
 
         # Connect: instantaneous bounded exchanges; the channel and the
         # interact hook see the initiator's local cycle as their round.
@@ -1106,6 +1086,6 @@ class AsyncSimulation(Simulation):
             control_bits += channel.bits.total_bits
 
         self._accumulate(
-            ticks, len(members), active_count, len(proposals),
+            ticks, len(members), active_count, len(proposer_uids),
             len(matches), tokens_moved, control_bits, dropped,
         )

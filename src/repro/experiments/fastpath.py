@@ -57,9 +57,18 @@ its own UID) is byte-identical between the object and array paths for
 every proposee-side rule.  The replay bridge
 (:mod:`repro.net.bridge`) records under this discipline, so the check
 anchors live-replay equivalence to whichever engine path recorded.
+
+Every gate also runs from the command line with its defaults, printing
+each divergence to stderr and exiting 1 on any::
+
+    python -m repro.experiments.fastpath --gate async_sync_identity \
+        async_determinism async_batched_identity
 """
 
 from __future__ import annotations
+
+import argparse
+import sys
 
 from repro.asynchrony.engine import AsyncSimulation
 from repro.asynchrony.timing import (
@@ -92,6 +101,7 @@ __all__ = [
     "CHECK_ASYNC_ALGORITHMS",
     "CHECK_ASYNC_DYNAMICS",
     "CHECK_TIMINGS",
+    "GATES",
     "check_dtype_identity",
     "check_fastpath_divergence",
     "check_grid_identity",
@@ -101,6 +111,7 @@ __all__ = [
     "check_async_determinism",
     "check_async_batched_identity",
     "check_telemetry_identity",
+    "main",
     "make_dynamics",
     "make_fault",
     "make_timing",
@@ -615,3 +626,40 @@ def check_telemetry_identity(
                         "byte-identical)"
                     )
     return failures
+
+
+#: The gates ``--gate`` accepts: each ``check_*`` function by its suffix.
+GATES = {
+    name[len("check_"):]: check
+    for name, check in sorted(globals().items())
+    if name.startswith("check_")
+}
+
+
+def main(argv=None) -> int:
+    """Run the named gates; 0 = identical, 1 = divergence, 2 = bad name."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.fastpath",
+        description="Run differential identity gates with their defaults.",
+    )
+    parser.add_argument("--gate", nargs="+", required=True, metavar="NAME")
+    names = parser.parse_args(argv).gate
+    unknown = [name for name in names if name not in GATES]
+    if unknown:
+        print(
+            f"unknown gate(s) {', '.join(unknown)}; valid gates: "
+            f"{', '.join(GATES)}",
+            file=sys.stderr,
+        )
+        return 2
+    failures = [failure for name in names for failure in GATES[name]()]
+    for failure in failures:
+        print(f"DIVERGENCE: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"identical: {', '.join(names)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,8 +12,8 @@ advertise   run the node's scan-stage hook, reply with its b-bit tag
 propose     run the propose hook; deliver the proposal peer-to-peer
 proposal    (peer-to-peer) record an incoming proposal for a round
 resolve     proposee-enforced acceptance over the round's inbox —
-            exactly ``resolve_proposals`` semantics (proposals to
-            proposers are lost; ties break by the registered
+            through ``resolve_proposals`` itself (proposals to
+            proposers are lost; ties break by the configured
             acceptance rule on the per-target SeedTree stream)
 connect     initiator-side Stage 3: pull the responder's visible
             state, run ``interact`` against a remote-peer adapter
@@ -90,7 +90,7 @@ from repro.net.peers import PeerEntry, PeerTable
 from repro.rng import SeedTree
 from repro.sim.channel import Channel, ChannelPolicy
 from repro.sim.context import NeighborView
-from repro.sim.matching import ACCEPTANCE_RULES
+from repro.sim.matching import ACCEPTANCE_RULES, resolve_proposals
 from repro.telemetry import MetricsRegistry
 
 __all__ = ["PeerServer"]
@@ -662,8 +662,8 @@ class PeerServer:
         """Proposee-enforced acceptance: ``resolve_proposals`` semantics.
 
         A node that proposed this round loses its incoming proposals
-        (the model's collision rule); a contested inbox is settled by
-        the registered acceptance rule, drawing — for ``uniform`` — from
+        (the model's collision rule); otherwise the inbox goes through
+        the simulator's own resolver, drawing — for ``uniform`` — from
         this target's own match stream, which is exactly the draw the
         simulator makes under ``acceptance_streams="local"``.  The
         verdict is cached: resolving consumes the inbox and (when
@@ -677,15 +677,13 @@ class PeerServer:
             senders = sorted(self._inbox.pop(rnd, ()))
             if proposed is not None or not senders:
                 return {"winner": None, "senders": len(senders)}
-            if len(senders) == 1:
-                return {"winner": senders[0], "senders": 1}
-            rng = (
-                self._engine_tree.stream("match", rnd, "uid", self.uid)
-                if self.acceptance == "uniform"
-                else None
+            [(winner, _)] = resolve_proposals(
+                senders, [self.uid] * len(senders), self.acceptance,
+                lambda target: self._engine_tree.stream(
+                    "match", rnd, "uid", target
+                ),
             )
-            winner = ACCEPTANCE_RULES[self.acceptance](senders, rng)
-            return {"winner": int(winner), "senders": len(senders)}
+            return {"winner": winner, "senders": len(senders)}
 
         return self._cached(("resolve", rnd), compute)
 

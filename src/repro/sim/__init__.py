@@ -27,7 +27,7 @@ from repro.sim.faults import (
     build_fault,
 )
 from repro.sim.protocol import NodeProtocol, TokenHolder, bulk_hooks
-from repro.sim.matching import resolve_proposals, resolve_proposals_arrays
+from repro.sim.matching import resolve_proposals
 from repro.sim.trace import RoundRecord, Trace
 from repro.sim.engine import Simulation, SimulationResult
 from repro.sim.termination import (
@@ -52,7 +52,6 @@ __all__ = [
     "TokenHolder",
     "bulk_hooks",
     "resolve_proposals",
-    "resolve_proposals_arrays",
     "RoundRecord",
     "Trace",
     "Simulation",

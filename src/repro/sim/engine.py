@@ -7,7 +7,8 @@ that protocols cannot cheat:
   empty tag 0 is legal);
 * proposals must name a current neighbor;
 * matching follows :func:`repro.sim.matching.resolve_proposals` (one
-  connection per node, proposers cannot receive);
+  connection per node, proposers cannot receive) — the one resolver
+  both front halves, the event engine and the live proposee share;
 * every connection runs over a budget-metered channel.
 
 Everything is deterministic given the seed: topology evolution, acceptance
@@ -22,8 +23,8 @@ Two interchangeable front halves drive Stages 1–2 of each round:
   (:func:`repro.sim.protocol.bulk_hooks`), the engine feeds them one
   UID-bound CSR snapshot per epoch
   (:class:`~repro.sim.adjacency.CSRAdjacency` via
-  ``DynamicGraph.csr_at``) and resolves matching with
-  :func:`repro.sim.matching.resolve_proposals_arrays`.
+  ``DynamicGraph.csr_at``) and hands the proposal arrays straight to
+  the same resolver.
 
 The two paths are **byte-identical**: same tags, same proposals, same
 random-stream consumption, same matching, same traces (pinned by
@@ -65,10 +66,7 @@ from repro.sim.faults import FaultModel, NoFaults
 from repro.sim.matching import (
     ACCEPTANCE_RULES,
     resolve_proposals,
-    resolve_proposals_arrays,
-    resolve_proposals_arrays_local,
-    resolve_proposals_local,
-    resolve_proposals_unbounded,
+    shared_stream,
 )
 from repro.sim.protocol import NodeProtocol, bulk_hooks
 from repro.sim.termination import TerminationCondition, never
@@ -162,7 +160,7 @@ class Simulation:
         if acceptance != "unbounded" and acceptance not in ACCEPTANCE_RULES:
             raise ConfigurationError(
                 f"unknown acceptance mode {acceptance!r}; choose from "
-                f"{sorted(ACCEPTANCE_RULES) + ['unbounded']}"
+                f"{sorted(ACCEPTANCE_RULES + ('unbounded',))}"
             )
         if acceptance_streams not in ("global", "local"):
             raise ConfigurationError(
@@ -404,19 +402,27 @@ class Simulation:
                     rnd, mask
                 )
 
-        # Fault layer, decision 2: accepted matches whose connection
-        # fails.  Dropped matches never become connections: they skip
-        # Stage 3 and are counted in the dropped_connections column.
-        dropped = 0
-        if self._fault_active and matches:
-            surviving = []
-            for pair in matches:
-                if self.faults.drop_connection(rnd, pair[0], pair[1]):
-                    dropped += 1
-                else:
-                    surviving.append(pair)
-            matches = surviving
+        matches, dropped = self._drop_failed(matches, lambda _uid: rnd)
         return proposal_count, matches, dropped, mask
+
+    def _drop_failed(self, matches, fault_round_of):
+        """Fault layer, decision 2: accepted matches whose connection
+        fails.  Dropped matches never become connections: they skip
+        Stage 3 and are counted in the dropped_connections column.
+
+        ``fault_round_of(initiator_uid)`` is the round index the drop
+        decision is keyed by (the round, or the initiator's local cycle
+        on the event engine).  Returns ``(surviving, dropped_count)``.
+        """
+        if not (self._fault_active and matches):
+            return matches, 0
+        surviving = [
+            pair for pair in matches
+            if not self.faults.drop_connection(
+                fault_round_of(pair[0]), pair[0], pair[1]
+            )
+        ]
+        return surviving, len(matches) - len(surviving)
 
     def _stage3(
         self, rnd: int, matches: list[tuple[int, int]]
@@ -529,7 +535,8 @@ class Simulation:
         # Stage 2: proposals, with each node seeing neighbor tags.  Views
         # come from the per-epoch skeleton cache; only views whose tag
         # changed since the previous round are replaced.
-        proposals: dict[int, int] = {}
+        proposer_uids: list[int] = []
+        target_uids: list[int] = []
         neighbor_vertices = self._neighbor_vertices
         view_tuples = self._view_tuples
         for vertex, node in enumerate(nodes):
@@ -551,31 +558,25 @@ class Simulation:
                     f"node uid={node.uid} proposed to uid={target}, "
                     f"not a neighbor in round {rnd}"
                 )
-            proposals[node.uid] = target
+            proposer_uids.append(node.uid)
+            target_uids.append(target)
 
-        return len(proposals), self._resolve_matches(rnd, proposals)
-
-    def _match_rng_for_target(self, rnd: int):
-        """Per-target acceptance streams for ``acceptance_streams="local"``.
-
-        Keyed ``("match", rnd, "uid", target_uid)`` off the engine
-        subtree — derivable by any party that knows the run seed, the
-        round, and its own UID (the live proposee's position)."""
-        return lambda target: self._tree.stream("match", rnd, "uid", target)
-
-    def _resolve_matches(self, rnd: int, proposals: dict) -> list:
-        """Resolve one round's proposal dict under the configured
-        acceptance rule and stream discipline."""
-        if self.acceptance == "unbounded":
-            return resolve_proposals_unbounded(proposals)
-        if self.acceptance_streams == "local":
-            return resolve_proposals_local(
-                proposals, self._match_rng_for_target(rnd),
-                rule=self.acceptance,
-            )
-        return resolve_proposals(
-            proposals, self._tree.stream("match", rnd), rule=self.acceptance
+        return len(proposer_uids), resolve_proposals(
+            proposer_uids, target_uids, self.acceptance,
+            self._match_streams(rnd),
         )
+
+    def _match_streams(self, rnd: int):
+        """Round ``rnd``'s ``stream_for`` under the configured discipline.
+
+        ``"global"`` draws every contested target from the one
+        ``("match", rnd)`` stream; ``"local"`` gives each contested target
+        its own ``("match", rnd, "uid", target_uid)`` stream — derivable
+        by any party that knows the run seed, the round, and its own UID
+        (the live proposee's position)."""
+        if self.acceptance_streams == "local":
+            return lambda uid: self._tree.stream("match", rnd, "uid", uid)
+        return shared_stream(lambda: self._tree.stream("match", rnd))
 
     def _stages12_object_masked(
         self, rnd: int, mask: np.ndarray
@@ -618,7 +619,8 @@ class Simulation:
             tags[vertex] = tag
 
         # Stage 2: proposals against the masked views.
-        proposals: dict[int, int] = {}
+        proposer_uids: list[int] = []
+        target_uids: list[int] = []
         for vertex, node in enumerate(nodes):
             views = tuple(
                 NeighborView(uid=nodes[nv].uid, tag=tags[nv])
@@ -632,13 +634,16 @@ class Simulation:
                     f"node uid={node.uid} proposed to uid={target}, "
                     f"not an active neighbor in round {rnd}"
                 )
-            proposals[node.uid] = target
+            proposer_uids.append(node.uid)
+            target_uids.append(target)
 
-        # Plain resolution suffices: the neighbor checks above already
-        # guarantee every surviving proposal has both endpoints active,
-        # so the masked resolver twins (the public API for callers
-        # without that guarantee) would filter nothing here.
-        return len(proposals), self._resolve_matches(rnd, proposals)
+        # The neighbor checks above already guarantee every surviving
+        # proposal has both endpoints active: masking needs no resolver
+        # support.
+        return len(proposer_uids), resolve_proposals(
+            proposer_uids, target_uids, self.acceptance,
+            self._match_streams(rnd),
+        )
 
     def _stages12_array(self, rnd: int) -> tuple[int, list[tuple[int, int]]]:
         """Stages 1–2 through bulk hooks over the epoch's CSR snapshot."""
@@ -739,38 +744,26 @@ class Simulation:
                     f"{rnd}"
                 )
 
-        # Masked rounds need no masked resolver: `bound` is already the
+        # Masked rounds need no resolver support: `bound` is already the
         # active subgraph, so the legality check above left only
         # proposals with both endpoints active.
-        proposer_uids = self._uid_array[proposer_mask]
-        target_uids = targets[proposer_mask]
         with self._prof.span("round.resolve"):
-            if self.acceptance == "unbounded":
-                matches = resolve_proposals_arrays(
-                    proposer_uids, target_uids, rule="unbounded"
-                )
-            elif self.acceptance_streams == "local":
-                matches = resolve_proposals_arrays_local(
-                    proposer_uids, target_uids,
-                    self._match_rng_for_target(rnd), rule=self.acceptance,
-                )
-            else:
-                matches = resolve_proposals_arrays(
-                    proposer_uids, target_uids,
-                    self._tree.stream("match", rnd), rule=self.acceptance,
-                )
+            matches = resolve_proposals(
+                self._uid_array[proposer_mask], targets[proposer_mask],
+                self.acceptance, self._match_streams(rnd),
+            )
         return int(proposer_mask.sum()), matches
 
     @staticmethod
     def _as_int_array(values, hook: str) -> np.ndarray:
-        """Coerce a bulk-hook result to int64, refusing non-integer
-        dtypes — the array twin of the object path's ``isinstance(tag,
-        int)`` check (a silent float->int cast would let through values
-        the reference path rejects)."""
+        """Coerce a bulk- or window-hook result to int64, refusing
+        non-integer dtypes — the array twin of the object path's
+        ``isinstance(tag, int)`` check (a silent float->int cast would let
+        through values the reference path rejects)."""
         array = np.asarray(values)
         if not np.issubdtype(array.dtype, np.integer):
             raise ProtocolViolationError(
-                f"{hook} returned dtype {array.dtype}; bulk hooks must "
+                f"{hook} returned dtype {array.dtype}; array hooks must "
                 "return integer arrays"
             )
         return array.astype(np.int64, copy=False)

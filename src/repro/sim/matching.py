@@ -15,241 +15,103 @@ The result is a partial matching: every node is in at most one connection.
 This bounded-acceptance rule is *the* difference from the classical
 telephone model (which allows unbounded incoming connections), and it is
 why the paper needs new analysis — see the double-star discussion in §1.
-:func:`resolve_proposals_unbounded` implements the classical model's rule
-as a measurable baseline (benchmarks/bench_classical.py shows the Δ²
-penalty collapsing once acceptance is unbounded).
+``rule="unbounded"`` implements the classical model's rule as a
+measurable baseline (benchmarks/bench_classical.py shows the Δ² penalty
+collapsing once acceptance is unbounded).
+
+:func:`resolve_proposals` is the one resolver: the round engine's two
+front halves, the event engine's cohorts and the live proposee all call
+it, and differ only in the ``stream_for`` they pass.
 """
 
 from __future__ import annotations
-
-import random
-from typing import Callable
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ProtocolViolationError
 
-__all__ = [
-    "resolve_proposals",
-    "resolve_proposals_arrays",
-    "resolve_proposals_arrays_local",
-    "resolve_proposals_arrays_masked",
-    "resolve_proposals_local",
-    "resolve_proposals_masked",
-    "resolve_proposal_cohorts",
-    "resolve_proposals_unbounded",
-    "ACCEPTANCE_RULES",
-    "AcceptanceRule",
-]
+__all__ = ["resolve_proposals", "shared_stream", "ACCEPTANCE_RULES"]
 
-#: An acceptance rule picks one proposer among the incoming ones.
-AcceptanceRule = Callable[[list[int], random.Random], int]
+#: Named acceptance rules for the bounded (mobile telephone) model:
+#: ``uniform`` draws among the incoming proposals; ``lowest_uid`` and
+#: ``highest_uid`` are deterministic tie-breaks (adversary-friendly — the
+#: same proposer can monopolize a popular target) that draw nothing.
+ACCEPTANCE_RULES = ("uniform", "lowest_uid", "highest_uid")
+
+_RULES = ACCEPTANCE_RULES + ("unbounded",)
 
 
-def _accept_uniform(senders: list[int], rng: random.Random) -> int:
-    """The paper's rule: uniform among incoming proposals."""
-    return senders[0] if len(senders) == 1 else rng.choice(senders)
+def shared_stream(derive):
+    """``stream_for`` for the global discipline: every contested target
+    draws from the one stream ``derive()`` builds on first use.
 
+    Deriving a :class:`~repro.rng.SeedTree` stream is pure, so deferring
+    it to the first contested target moves no draw — it only skips the
+    hashing when nothing is contested.
+    """
+    stream = None
 
-def _accept_lowest_uid(senders: list[int], rng: random.Random) -> int:
-    """Deterministic tie-break: smallest UID wins (an adversary-friendly
-    rule — the same proposer can monopolize a popular target)."""
-    return min(senders)
+    def stream_for(_target):
+        nonlocal stream
+        if stream is None:
+            stream = derive()
+        return stream
 
-
-def _accept_highest_uid(senders: list[int], rng: random.Random) -> int:
-    """Deterministic tie-break: largest UID wins."""
-    return max(senders)
-
-
-#: Named acceptance rules for the bounded (mobile telephone) model.
-ACCEPTANCE_RULES: dict[str, AcceptanceRule] = {
-    "uniform": _accept_uniform,
-    "lowest_uid": _accept_lowest_uid,
-    "highest_uid": _accept_highest_uid,
-}
-
-
-def _validate(proposals: dict[int, int]) -> None:
-    for proposer, target in proposals.items():
-        if proposer == target:
-            raise ProtocolViolationError(f"node {proposer} proposed to itself")
-
-
-def _incoming_at_non_proposers(proposals: dict[int, int]) -> dict[int, list[int]]:
-    proposers = set(proposals)
-    incoming: dict[int, list[int]] = {}
-    for proposer, target in proposals.items():
-        if target in proposers:
-            # The target is busy proposing; this proposal is lost.
-            continue
-        incoming.setdefault(target, []).append(proposer)
-    return incoming
+    return stream_for
 
 
 def resolve_proposals(
-    proposals: dict[int, int],
-    rng: random.Random,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Resolve ``{proposer_uid: target_uid}`` into connection pairs.
-
-    Returns ``(initiator, responder)`` pairs under the mobile telephone
-    model: at most one connection per node.  Determinism: the acceptance
-    draw consumes ``rng`` in sorted-target order, so a fixed seed yields a
-    fixed matching.
-    """
-    if rule not in ACCEPTANCE_RULES:
-        raise ConfigurationError(
-            f"unknown acceptance rule {rule!r}; choose from "
-            f"{sorted(ACCEPTANCE_RULES)}"
-        )
-    _validate(proposals)
-    accept = ACCEPTANCE_RULES[rule]
-    matches = []
-    incoming = _incoming_at_non_proposers(proposals)
-    for target in sorted(incoming):
-        senders = sorted(incoming[target])
-        matches.append((accept(senders, rng), target))
-    return matches
-
-
-def resolve_proposals_local(
-    proposals: dict[int, int],
-    rng_for_target,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Per-target-stream twin of :func:`resolve_proposals`.
-
-    Instead of one sequential rng consumed in sorted-target order — a
-    discipline only a centralized resolver can reproduce —
-    ``rng_for_target(target_uid)`` supplies a *fresh* stream for each
-    contested target, so a distributed proposee that knows only its own
-    UID and the round number can derive exactly the draw made here.  This
-    is the acceptance semantics the live deployment layer
-    (:mod:`repro.net`) enforces proposee-side; the simulator's
-    ``acceptance_streams="local"`` knob runs the same rule so recorded
-    traces replay bit-for-bit against a live cluster.
-
-    Deterministic rules (``lowest_uid``/``highest_uid``) never call
-    ``rng_for_target``; the uniform rule calls it only for targets with
-    two or more surviving proposals (matching the cohort resolvers'
-    no-draw singleton discipline).
-    """
-    if rule not in ACCEPTANCE_RULES:
-        raise ConfigurationError(
-            f"unknown acceptance rule {rule!r}; choose from "
-            f"{sorted(ACCEPTANCE_RULES)}"
-        )
-    _validate(proposals)
-    accept = ACCEPTANCE_RULES[rule]
-    matches = []
-    incoming = _incoming_at_non_proposers(proposals)
-    for target in sorted(incoming):
-        senders = sorted(incoming[target])
-        rng = (
-            rng_for_target(target)
-            if rule == "uniform" and len(senders) > 1
-            else None
-        )
-        matches.append((accept(senders, rng), target))
-    return matches
-
-
-def resolve_proposals_arrays_local(
     proposer_uids,
     target_uids,
-    rng_for_target,
     rule: str = "uniform",
+    stream_for=None,
 ) -> list[tuple[int, int]]:
-    """Array twin of :func:`resolve_proposals_local`.
+    """Resolve one cohort's proposals into ``(initiator, responder)`` pairs.
 
-    Pair-for-pair identical to the dict form on the same proposals, with
-    the same per-target stream discipline — ``rng_for_target`` is called
-    once per contested target under the uniform rule, never otherwise.
+    ``proposer_uids``/``target_uids`` are parallel UID sequences (lists or
+    int arrays): proposer ``proposer_uids[i]`` proposed to
+    ``target_uids[i]``.  Proposer UIDs must be distinct.  ``rule`` is one
+    of :data:`ACCEPTANCE_RULES` or ``"unbounded"`` (every proposal to a
+    non-proposer connects).
+
+    Pairs come out in sorted-target order, each target's pairs by
+    ascending initiator.  Under ``uniform`` the acceptance draw calls
+    ``stream_for(target_uid)`` once per *contested* target (two or more
+    surviving proposals), in that same sorted-target order, and draws
+    ``choice`` over the target's ascending senders.  Uncontested targets
+    and the other rules never call it.  The stream discipline is the
+    caller's: :func:`shared_stream` gives the engines' one-stream-per-
+    round (or per-tick) draws, a per-target derivation gives the live
+    proposee's.
     """
-    if rule not in ACCEPTANCE_RULES:
+    if rule not in _RULES:
         raise ConfigurationError(
-            f"unknown acceptance rule {rule!r}; choose from "
-            f"{sorted(ACCEPTANCE_RULES)}"
+            f"unknown acceptance rule {rule!r}; choose from {sorted(_RULES)}"
         )
+    if rule == "uniform" and stream_for is None:
+        raise ConfigurationError("the uniform rule needs stream_for")
+    count = len(proposer_uids)
+    if count != len(target_uids):
+        raise ConfigurationError(
+            "proposer_uids and target_uids must have matching lengths"
+        )
+    if count <= 1:
+        # The common asynchronous cohort: a lone proposal always lands (a
+        # self-proposal is a violation, so its target never proposed).
+        if count == 0:
+            return []
+        proposer, target = int(proposer_uids[0]), int(target_uids[0])
+        if proposer == target:
+            raise ProtocolViolationError(f"node {proposer} proposed to itself")
+        return [(proposer, target)]
+
     proposer_uids = np.asarray(proposer_uids, dtype=np.int64)
     target_uids = np.asarray(target_uids, dtype=np.int64)
-    if proposer_uids.shape != target_uids.shape:
-        raise ConfigurationError(
-            "proposer_uids and target_uids must have matching shapes"
-        )
-    if proposer_uids.size == 0:
-        return []
     self_loops = proposer_uids == target_uids
     if self_loops.any():
         offender = int(proposer_uids[self_loops][0])
         raise ProtocolViolationError(f"node {offender} proposed to itself")
-    if np.unique(proposer_uids).size != proposer_uids.size:
-        raise ProtocolViolationError("duplicate proposer UIDs")
-    keep = ~np.isin(target_uids, proposer_uids)
-    senders = proposer_uids[keep]
-    targets = target_uids[keep]
-    if senders.size == 0:
-        return []
-    order = np.lexsort((senders, targets))
-    senders = senders[order]
-    targets = targets[order]
-    group_targets, starts = np.unique(targets, return_index=True)
-    bounds = np.append(starts, senders.size)
-    if rule == "lowest_uid":
-        initiators = senders[starts]
-    elif rule == "highest_uid":
-        initiators = senders[bounds[1:] - 1]
-    else:  # uniform, one fresh stream per contested target
-        initiators = senders[starts].copy()
-        sizes = np.diff(bounds)
-        for g in np.nonzero(sizes > 1)[0]:
-            group = senders[bounds[g]:bounds[g + 1]]
-            initiators[g] = rng_for_target(int(group_targets[g])).choice(group)
-    return list(zip(initiators.tolist(), group_targets.tolist()))
-
-
-def resolve_proposals_arrays(
-    proposer_uids,
-    target_uids,
-    rng: random.Random | None = None,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Array-based twin of :func:`resolve_proposals` (and the unbounded
-    baseline, via ``rule="unbounded"``).
-
-    ``proposer_uids``/``target_uids`` are parallel int arrays: proposer
-    ``proposer_uids[i]`` proposed to ``target_uids[i]``.  Proposer UIDs
-    must be distinct (each node sends at most one proposal).
-
-    **Byte-identical matching guarantee**: the result — pair values *and*
-    list order — equals the dict resolver's on the same proposals, and the
-    acceptance draw consumes ``rng`` in the same sorted-target order,
-    drawing only for targets with two or more surviving proposals.  The
-    engine's array fast path relies on this to keep traces identical to
-    the reference path; tests/test_matching.py pins it property-style.
-    """
-    if rule != "unbounded" and rule not in ACCEPTANCE_RULES:
-        raise ConfigurationError(
-            f"unknown acceptance rule {rule!r}; choose from "
-            f"{sorted(ACCEPTANCE_RULES) + ['unbounded']}"
-        )
-    if rule == "uniform" and rng is None:
-        raise ConfigurationError("the uniform rule needs an rng")
-    proposer_uids = np.asarray(proposer_uids, dtype=np.int64)
-    target_uids = np.asarray(target_uids, dtype=np.int64)
-    if proposer_uids.shape != target_uids.shape:
-        raise ConfigurationError(
-            "proposer_uids and target_uids must have matching shapes"
-        )
-    if proposer_uids.size == 0:
-        return []
-    self_loops = proposer_uids == target_uids
-    if self_loops.any():
-        offender = int(proposer_uids[self_loops][0])
-        raise ProtocolViolationError(f"node {offender} proposed to itself")
-    if np.unique(proposer_uids).size != proposer_uids.size:
+    if np.unique(proposer_uids).size != count:
         raise ProtocolViolationError("duplicate proposer UIDs")
 
     # Proposals aimed at a proposer are lost (§2).
@@ -259,7 +121,7 @@ def resolve_proposals_arrays(
     if senders.size == 0:
         return []
     # Sort by (target, sender): groups come out in sorted-target order
-    # with each group's senders ascending — the dict resolver's order.
+    # with each group's senders ascending.
     order = np.lexsort((senders, targets))
     senders = senders[order]
     targets = targets[order]
@@ -273,160 +135,7 @@ def resolve_proposals_arrays(
         initiators = senders[bounds[1:] - 1]
     else:  # uniform
         initiators = senders[starts].copy()
-        sizes = np.diff(bounds)
-        for g in np.nonzero(sizes > 1)[0]:
+        for g in np.nonzero(np.diff(bounds) > 1)[0]:
             group = senders[bounds[g]:bounds[g + 1]]
-            initiators[g] = rng.choice(group)
+            initiators[g] = stream_for(int(group_targets[g])).choice(group)
     return list(zip(initiators.tolist(), group_targets.tolist()))
-
-
-def resolve_proposals_masked(
-    proposals: dict[int, int],
-    active_uids,
-    rng: random.Random | None = None,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Masked twin of :func:`resolve_proposals` for fault-layer rounds.
-
-    Proposals whose proposer *or* target UID is not in ``active_uids``
-    (a set-like of awake nodes) are discarded before resolution — a
-    sleeping node neither sends nor accepts.  The acceptance draw then
-    consumes ``rng`` exactly as the unmasked resolver would on the
-    surviving proposals, so with every endpoint active the result — and
-    the stream consumption — is identical to :func:`resolve_proposals`.
-    ``rule="unbounded"`` delegates to the classical-model resolver.
-    """
-    active = (
-        active_uids
-        if isinstance(active_uids, (set, frozenset))
-        else frozenset(active_uids)
-    )
-    surviving = {
-        proposer: target
-        for proposer, target in proposals.items()
-        if proposer in active and target in active
-    }
-    if rule == "unbounded":
-        return resolve_proposals_unbounded(surviving)
-    return resolve_proposals(surviving, rng, rule=rule)
-
-
-def resolve_proposals_arrays_masked(
-    proposer_uids,
-    target_uids,
-    active_uids,
-    rng: random.Random | None = None,
-    rule: str = "uniform",
-) -> list[tuple[int, int]]:
-    """Masked twin of :func:`resolve_proposals_arrays`.
-
-    ``active_uids`` is an int array of awake UIDs; proposals with an
-    inactive endpoint are dropped before resolution.  Matches
-    :func:`resolve_proposals_masked` pair-for-pair (same survivors, same
-    sorted-target draw order), which keeps the engine's two front halves
-    byte-identical under any activity mask.
-    """
-    proposer_uids = np.asarray(proposer_uids, dtype=np.int64)
-    target_uids = np.asarray(target_uids, dtype=np.int64)
-    if proposer_uids.shape != target_uids.shape:
-        raise ConfigurationError(
-            "proposer_uids and target_uids must have matching shapes"
-        )
-    active_uids = np.asarray(active_uids, dtype=np.int64)
-    keep = np.isin(proposer_uids, active_uids) & np.isin(
-        target_uids, active_uids
-    )
-    return resolve_proposals_arrays(
-        proposer_uids[keep], target_uids[keep], rng, rule=rule
-    )
-
-
-def resolve_proposal_cohorts(
-    proposer_uids,
-    target_uids,
-    bounds,
-    rng_for_cohort,
-    rule: str = "uniform",
-    active_uids=None,
-) -> list[list[tuple[int, int]]]:
-    """Resolve many cohorts' proposals in one call (batched async path).
-
-    ``proposer_uids``/``target_uids`` hold a whole round window's
-    proposals, cohorts concatenated in event order; cohort ``c`` owns the
-    slice ``bounds[c]:bounds[c + 1]``.  Each cohort resolves
-    *independently* — simultaneity is per tick, so proposals in different
-    cohorts never compete — and its matches equal what the per-event
-    engine computes for that cohort:
-
-    * ``rng_for_cohort(c)`` is called only when cohort ``c`` holds two or
-      more proposals (singletons consume no randomness — the per-event
-      engine's rule), and the acceptance draw consumes it in the
-      resolver's sorted-target order;
-    * ``active_uids`` (optional, per-cohort: ``active_uids(c)`` returning
-      an awake-UID array or ``None``) routes the cohort through
-      :func:`resolve_proposals_arrays_masked`, dropping proposals with a
-      sleeping endpoint before resolution.
-
-    Returns one match list per cohort.
-    """
-    proposer_uids = np.asarray(proposer_uids, dtype=np.int64)
-    target_uids = np.asarray(target_uids, dtype=np.int64)
-    results: list[list[tuple[int, int]]] = []
-    for cohort in range(len(bounds) - 1):
-        lo, hi = int(bounds[cohort]), int(bounds[cohort + 1])
-        if hi == lo:
-            results.append([])
-            continue
-        senders = proposer_uids[lo:hi]
-        targets = target_uids[lo:hi]
-        active = active_uids(cohort) if active_uids is not None else None
-        if rule == "unbounded":
-            rng = None
-        else:
-            rng = rng_for_cohort(cohort) if hi - lo >= 2 else None
-        if hi - lo == 1:
-            # Singleton fast path: the lone proposal always lands (a
-            # self-proposal is a protocol violation, so the target is
-            # never itself a proposer here).
-            if int(senders[0]) == int(targets[0]):
-                raise ProtocolViolationError(
-                    f"node {int(senders[0])} proposed to itself"
-                )
-            if active is not None and (
-                int(senders[0]) not in active or int(targets[0]) not in active
-            ):
-                results.append([])
-            else:
-                results.append([(int(senders[0]), int(targets[0]))])
-            continue
-        if active is not None:
-            results.append(
-                resolve_proposals_arrays_masked(
-                    senders, targets, active, rng, rule=rule
-                )
-            )
-        else:
-            results.append(
-                resolve_proposals_arrays(senders, targets, rng, rule=rule)
-            )
-    return results
-
-
-def resolve_proposals_unbounded(
-    proposals: dict[int, int],
-) -> list[tuple[int, int]]:
-    """The classical telephone model's rule: every proposal to a
-    non-proposer connects (a node may accept unboundedly many).
-
-    Provided as a baseline only — most classical-model bounds silently
-    rely on this rule (c.f. Daum et al. and the paper's related work), and
-    the benchmarks use it to measure exactly what the bounded-acceptance
-    change costs.
-    """
-    _validate(proposals)
-    matches = []
-    incoming = _incoming_at_non_proposers(proposals)
-    for target in sorted(incoming):
-        for sender in sorted(incoming[target]):
-            matches.append((sender, target))
-    return matches

@@ -19,7 +19,7 @@ from repro.asynchrony import (
 )
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes, run_gossip
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolViolationError
 from repro.experiments import RunSpec, SweepSpec, execute_run, run_sweep
 from repro.experiments.fastpath import trace_signature
 from repro.graphs.dynamic import StaticDynamicGraph
@@ -247,6 +247,38 @@ class TestAsyncSimulation:
                 channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
                 timing=None, async_mode="batched",
             )
+
+    @pytest.mark.parametrize("algorithm", ["sharedbit", "blindmatch"])
+    def test_batched_scan_rejects_float_tags(self, algorithm):
+        # Eager (sharedbit) and lazy (blindmatch) window scans: a float
+        # tag must raise, as on the per-event and round-engine paths,
+        # instead of truncating 0.7 to 0.
+        instance = uniform_instance(n=N, k=2, seed=SEED)
+        nodes = build_nodes(algorithm, instance, seed=SEED)
+        sim = AsyncSimulation(
+            StaticDynamicGraph(expander(n=N, degree=4, seed=1)), nodes,
+            b=1 if algorithm == "sharedbit" else 0, seed=SEED,
+            channel_policy=ChannelPolicy.for_upper_n(instance.upper_n),
+            timing=UniformJitter(N, SEED),
+        )
+        ops = sim._window_ops
+        scan = ops.scan
+
+        def float_scan(vertices, cycles):
+            tags, senders = scan(vertices, cycles)
+            return np.full(len(tags), 0.7), senders
+
+        ops.scan = float_scan
+        with pytest.raises(ProtocolViolationError, match="dtype float64"):
+            sim.run(max_rounds=5)
+
+    def test_batched_retag_rejects_float_tags(self):
+        sim, _ = _sim(timing=UniformJitter(N, SEED))
+        ops = sim._window_ops
+        assert ops.needs_retag
+        ops.retag = lambda vertex, cycle: 0.7
+        with pytest.raises(ProtocolViolationError, match="0.7"):
+            sim.run(max_rounds=200)
 
     def test_async_mode_validated(self):
         with pytest.raises(ConfigurationError):

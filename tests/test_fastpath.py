@@ -14,6 +14,11 @@ implementation benchmarks/bench_engine.py and CI's bench-smoke gate run,
 so "byte-identical" means one thing everywhere.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,7 @@ from repro.core.ppush import PPushNode
 from repro.core.problem import uniform_instance
 from repro.core.runner import build_nodes, run_gossip
 from repro.errors import ConfigurationError
+from repro.experiments import fastpath
 from repro.experiments.fastpath import (
     CHECK_ACCEPTANCES,
     CHECK_ASYNC_ALGORITHMS,
@@ -225,6 +231,38 @@ class TestTelemetryIdentity:
         on = run_case("sharedbit", "geometric", "uniform", "array",
                       rounds=40, telemetry=True)
         assert off == on
+
+
+class TestGateEntryPoint:
+    """``python -m repro.experiments.fastpath --gate NAME ...``: the one
+    command CI runs the identity gates through."""
+
+    def test_every_check_is_a_gate(self):
+        assert set(fastpath.GATES) >= {
+            "async_sync_identity", "async_determinism",
+            "async_batched_identity", "local_acceptance_identity",
+            "telemetry_identity", "fastpath_divergence",
+        }
+
+    def test_divergence_exits_1_and_reports(self, monkeypatch, capsys):
+        monkeypatch.setitem(fastpath.GATES, "ok", lambda: [])
+        monkeypatch.setitem(fastpath.GATES, "bad", lambda: ["case/x"])
+        assert fastpath.main(["--gate", "ok"]) == 0
+        assert fastpath.main(["--gate", "ok", "bad"]) == 1
+        assert "DIVERGENCE: case/x" in capsys.readouterr().err
+
+    def test_unknown_gate_exits_2_listing_valid_names(self):
+        src = str(Path(fastpath.__file__).parents[2])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.fastpath",
+             "--gate", "async_determinism", "no_such_gate"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2
+        assert "no_such_gate" in done.stderr
+        assert "telemetry_identity" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
 
 class TestRunGossipEquality:
